@@ -223,25 +223,19 @@ def _load_dataset_with_policy(args, telemetry):
     if policy is None:
         return load_dataset(args.dataset)
 
+    bridge = RunLoggerHook(logger=telemetry.logger,
+                           registry=telemetry.registry)
+
     def on_report(report):
-        telemetry.registry.counter(
-            "data_records_quarantined_total").inc(report.quarantined)
-        telemetry.registry.counter("data_validations_total").inc()
-        if telemetry.logger is not None:
-            telemetry.logger.data_quarantine(
-                report.quarantined, report.num_records,
-                reasons=report.counts_by_reason(),
-                manifest_missing=report.manifest_missing,
-            )
+        bridge.on_data_quarantine(
+            report.quarantined, report.num_records,
+            reasons=report.counts_by_reason(),
+            manifest_missing=report.manifest_missing,
+        )
 
     def on_repair(repair_report):
-        repaired = len(repair_report.repaired_indices)
-        telemetry.registry.counter(
-            "data_records_repaired_total").inc(repaired)
-        if telemetry.logger is not None:
-            telemetry.logger.data_repair(
-                repaired, indices=list(repair_report.repaired_indices),
-            )
+        bridge.on_data_repair(len(repair_report.repaired_indices),
+                              indices=repair_report.repaired_indices)
 
     def progress(message, warn=False):
         print(message, file=sys.stderr if warn else sys.stdout)

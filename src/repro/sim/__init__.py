@@ -2,7 +2,7 @@
 
 from .pipeline import LithographySimulator, SimulatedClip
 from .process_window import ProcessWindowResult, sweep_process_window
-from .runtime import StageTimer, Tracer
+from ..telemetry.trace import StageTimer, Tracer
 
 __all__ = [
     "LithographySimulator",

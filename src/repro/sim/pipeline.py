@@ -34,7 +34,7 @@ from ..optics import abbe_aerial_image
 from ..optics.imaging import get_imager
 from ..optics.source import annular_source
 from ..resist import DevelopedPattern, develop, resist_window_image
-from .runtime import StageTimer, Tracer
+from ..telemetry.trace import StageTimer, Tracer
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from ..errors import ParallelError, SweepError, TrainingError
 from ..runtime.parallel import WorkerPool
 from ..runtime.retry import RetrySchedule
+from ..telemetry.hooks import NULL_HOOK
 from .journal import JOURNAL_NAME, SweepJournal, read_journal, replay_journal
 from .spec import SweepSpec, TrialSpec
 
@@ -212,7 +213,7 @@ class SweepSupervisor:
         self.journal = SweepJournal(self.sweep_dir / JOURNAL_NAME)
         self.trial_fn = trial_fn if trial_fn is not None else run_default_trial
         self.faults_for = faults_for
-        self.hook = hook
+        self.hook = hook if hook is not None else NULL_HOOK
         self.sleep = sleep
         self.clock = clock
         self.progress = progress
@@ -298,8 +299,7 @@ class SweepSupervisor:
                 digest=trial.digest, trial=trial.name, index=trial.index,
                 attempt=attempt,
             )
-            if self.hook is not None:
-                self.hook.on_trial_start(trial.digest, trial.name, attempt)
+            self.hook.on_trial_start(trial.digest, trial.name, attempt)
             try:
                 outcome = self._execute(trial, attempt)
             except KeyboardInterrupt:
@@ -309,11 +309,10 @@ class SweepSupervisor:
                     status="interrupted", attempts=attempt,
                     reason="interrupted", seconds=seconds,
                 )
-                if self.hook is not None:
-                    self.hook.on_trial_end(
-                        trial.digest, trial.name, "interrupted", attempt,
-                        reason="interrupted", seconds=seconds,
-                    )
+                self.hook.on_trial_end(
+                    trial.digest, trial.name, "interrupted", attempt,
+                    reason="interrupted", seconds=seconds,
+                )
                 raise
             except Exception as exc:  # noqa: BLE001 — classified below
                 reason = classify_failure(exc)
@@ -324,11 +323,10 @@ class SweepSupervisor:
                         status="failed", attempts=attempt, reason=reason,
                         seconds=seconds,
                     )
-                    if self.hook is not None:
-                        self.hook.on_trial_end(
-                            trial.digest, trial.name, "failed", attempt,
-                            reason=reason, seconds=seconds,
-                        )
+                    self.hook.on_trial_end(
+                        trial.digest, trial.name, "failed", attempt,
+                        reason=reason, seconds=seconds,
+                    )
                     self._say(
                         f"{trial.name}: FAILED ({reason}) after "
                         f"{attempt} attempt(s): {exc}"
@@ -344,10 +342,9 @@ class SweepSupervisor:
                     digest=trial.digest, trial=trial.name, attempt=attempt,
                     reason=reason, delay_s=delay,
                 )
-                if self.hook is not None:
-                    self.hook.on_trial_retry(
-                        trial.digest, trial.name, attempt, reason, delay,
-                    )
+                self.hook.on_trial_retry(
+                    trial.digest, trial.name, attempt, reason, delay,
+                )
                 self._say(
                     f"{trial.name}: attempt {attempt} failed ({reason}); "
                     f"retrying in {delay:g}s"
@@ -362,11 +359,10 @@ class SweepSupervisor:
                 attempts=attempt, seconds=seconds, metrics=metrics,
                 weights=weights,
             )
-            if self.hook is not None:
-                self.hook.on_trial_end(
-                    trial.digest, trial.name, "completed", attempt,
-                    seconds=seconds,
-                )
+            self.hook.on_trial_end(
+                trial.digest, trial.name, "completed", attempt,
+                seconds=seconds,
+            )
             self._say(
                 f"{trial.name}: completed in {seconds:.2f}s "
                 f"({attempt} attempt(s))"

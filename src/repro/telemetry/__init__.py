@@ -9,10 +9,11 @@ future performance claim.  The pieces:
     cross-process snapshot merging.
 ``repro.telemetry.trace``
     Nested context-manager :class:`Span` tracing via :class:`Tracer`, with
-    stable trace/span/parent IDs that survive worker-pool fan-out; backs
-    the re-exported :class:`~repro.sim.runtime.StageTimer`.
+    stable trace/span/parent IDs that survive worker-pool fan-out, and the
+    per-stage :class:`StageTimer` view over it.
 ``repro.telemetry.events``
-    Schema-versioned JSONL :class:`RunLogger` (crash-tolerant, incremental).
+    Schema-versioned JSONL :class:`RunLogger` (crash-tolerant, incremental,
+    thread-safe) and the ``EVENTS`` table that defines the event vocabulary.
 ``repro.telemetry.hooks``
     The :class:`TelemetryHook` callback protocol threaded through training.
 ``repro.telemetry.export``

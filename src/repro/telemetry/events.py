@@ -6,72 +6,12 @@ schema-versioned and carry a monotonically-assigned run ID plus a per-run
 sequence number, so multiple runs can share one log file and still be teased
 apart afterwards.
 
-The canonical event vocabulary (see DESIGN.md "Observability"):
-
-``run_start``
-    First event of a run; carries the command/config fingerprint.
-``epoch_end``
-    One per training epoch: losses and wall-clock seconds.
-``checkpoint``
-    A training checkpoint was written (phase, epoch, path, loss).
-``rollback``
-    Divergence recovery rolled state back to a last-good epoch (carries the
-    failed epoch, restored epoch, retry count, and backed-off LR).
-``stage_end``
-    One per completed pipeline stage/phase span.
-``eval_end``
-    Evaluation summary (a machine-readable Table 3 row).
-``admission``
-    Serve-phase batch admission summary (admitted/rejected/sanitized counts).
-``data_quarantine``
-    A dataset integrity pass finished (quarantined/total record counts,
-    per-reason tags, and whether the archive had no manifest).
-``data_repair``
-    Quarantined records were re-synthesized from manifest provenance
-    (repaired count and indices, hash-verified).
-``fallback``
-    One served clip degraded to the physics simulator (carries the clip
-    index and the machine-readable cause).
-``breaker``
-    The serving circuit breaker changed state (``from_state``/``to_state``).
-``queue_full``
-    The serving work queue refused a push (carries depth and capacity).
-``shed``
-    A serving-loop request was refused or evicted (carries the request ID,
-    its tenant, and the machine-readable shed reason).
-``model_swap``
-    The serving loop's model slot changed at a batch boundary (carries the
-    model name, new/previous version labels, and the machine-readable
-    reason: ``swap``/``promote``/``rollback``/``canary``/``shadow``).
-``canary_verdict``
-    A canary/shadow rollout reached a decision (``verdict`` is ``promote``
-    or ``rollback``; carries both slots' bad rates and sample counts).
-``worker_crash``
-    A parallel fan-out worker died or timed out (carries the shard index,
-    the task name, and a short detail string).
-``trial_start``
-    A sweep trial attempt began (carries the trial's config digest, its
-    human-readable name, and the 1-based attempt number).
-``trial_retry``
-    A failed sweep trial attempt is being retried (carries the digest, the
-    attempt that failed, the machine-readable failure reason —
-    ``diverged``/``worker_death``/``timeout`` — and the deterministic
-    backoff delay).
-``trial_end``
-    A sweep trial reached a terminal state (carries the digest, the final
-    ``completed``/``failed``/``interrupted`` status, and the attempt count).
-``ilt_start``
-    An inverse-lithography run began (carries the clip count and the
-    configured gradient steps per clip).
-``ilt_step``
-    One ILT gradient step (carries the 0-based step index and the proxy
-    loss at that step).
-``ilt_end``
-    An inverse-lithography run finished (carries the simulator
-    verification count and the mean EPE of the verified best masks vs.
-    the unoptimized and rule-OPC baselines).
-``run_end``
-    Last event; carries status and total seconds.
+The event vocabulary is the :data:`EVENTS` table: one row per event type
+with its named fields, their checks, any cross-field invariant, the report
+incident it feeds, and a one-line description.  :data:`EVENT_TYPES`, the
+``RunLogger`` event methods, the per-field checks of
+:func:`validate_run_log` and the incident counts of ``repro report`` are all
+derived from it.
 """
 
 from __future__ import annotations
@@ -79,24 +19,17 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import threading
 import time
+from inspect import Parameter, Signature
 from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Union
+from typing import (IO, Any, Callable, Dict, List, NamedTuple, Optional,
+                    Tuple, Union)
 
 from ..errors import TelemetryError
 
 #: bump when the event record layout changes incompatibly
 SCHEMA_VERSION = 1
-
-#: event types a well-formed run log may contain
-EVENT_TYPES = (
-    "run_start", "epoch_end", "checkpoint", "rollback", "stage_end",
-    "eval_end", "admission", "fallback", "breaker", "queue_full", "shed",
-    "model_swap", "canary_verdict",
-    "data_quarantine", "data_repair", "worker_crash",
-    "trial_start", "trial_retry", "trial_end",
-    "ilt_start", "ilt_step", "ilt_end", "run_end",
-)
 
 #: decisions a canary_verdict event may record
 CANARY_VERDICTS = ("promote", "rollback")
@@ -112,6 +45,152 @@ BREAKER_TRANSITIONS = (
     ("half_open", "closed"),
     ("half_open", "open"),
 )
+
+
+class Check(NamedTuple):
+    """A per-field rule: a value that ``accepts`` rejects fails validation.
+
+    ``problem`` completes the message ``"<event> <index> ..."`` and is
+    formatted with the field's ``label`` and the offending ``value``.
+    """
+
+    accepts: Callable[[Any], bool]
+    problem: str
+
+
+def _int_from(low: int) -> Callable[[Any], bool]:
+    return lambda value: isinstance(value, int) and value >= low
+
+
+INTEGER = Check(lambda value: isinstance(value, int),
+                "has bad {label} {value!r}")
+NON_NEGATIVE = Check(_int_from(0), "has bad {label} {value!r}")
+COUNT = Check(_int_from(0), "has bad {label} count {value!r}")
+POSITIVE = Check(_int_from(1), "has bad {label} {value!r}")
+PRESENT = Check(bool, "is missing a {label}")
+
+
+def one_of(choices: Tuple[str, ...]) -> Check:
+    return Check(choices.__contains__,
+                 "has bad {label} {value!r}; expected one of " + str(choices))
+
+
+class Field(NamedTuple):
+    """One named field of an event, in ``RunLogger`` argument order."""
+
+    name: str
+    check: Optional[Check] = None
+    default: Any = Parameter.empty   # empty: the argument is required
+    keyword_only: bool = False
+    label: str = ""                  # noun for messages; default name
+
+
+class EventSpec(NamedTuple):
+    """One row of the event vocabulary."""
+
+    doc: str
+    fields: Tuple[Field, ...] = ()
+    #: cross-field rule: (holds(record), problem formatted with the record)
+    invariant: Optional[Tuple[Callable[[dict], bool], str]] = None
+    #: report incident this event feeds; it adds 1, or the ``adds`` field
+    incident: str = ""
+    adds: str = ""
+    #: name of the ``RunLogger`` method's ``**kwargs``
+    rest: str = "fields"
+
+
+_DIGEST = Field("digest", PRESENT, label="trial digest")
+
+#: the event vocabulary, in canonical order
+EVENTS: Dict[str, EventSpec] = {
+    "run_start": EventSpec(
+        "First event of a run; carries the command/config fingerprint."),
+    "epoch_end": EventSpec(
+        "One per training epoch: losses and wall-clock seconds.",
+        (Field("epoch", INTEGER),
+         Field("seconds", default=None, keyword_only=True)),
+        rest="losses"),
+    "checkpoint": EventSpec(
+        "A training checkpoint was written (phase, epoch, path, loss)."),
+    "rollback": EventSpec(
+        "Recovery rolled a training phase back to a last-good epoch, or "
+        "serving rolled a canary back (phase 'serving').",
+        incident="rollbacks"),
+    "stage_end": EventSpec(
+        "One per completed pipeline stage/phase span.",
+        (Field("stage"), Field("seconds"))),
+    "eval_end": EventSpec(
+        "Evaluation summary (a machine-readable Table 3 row)."),
+    "admission": EventSpec(
+        "Serve-phase batch admission (admitted/rejected/sanitized counts).",
+        (Field("admitted", COUNT), Field("rejected", COUNT)),
+        incident="rejected_inputs", adds="rejected"),
+    "fallback": EventSpec(
+        "One served clip degraded to the physics simulator, and why.",
+        (Field("clip", INTEGER), Field("cause", PRESENT)),
+        incident="fallbacks"),
+    "breaker": EventSpec(
+        "The serving circuit breaker changed state.",
+        (Field("from_state"), Field("to_state")),
+        incident="breaker_transitions"),
+    "queue_full": EventSpec(
+        "The serving work queue refused a push.",
+        (Field("depth", NON_NEGATIVE), Field("capacity", NON_NEGATIVE)),
+        invariant=(lambda record: record["depth"] >= record["capacity"],
+                   "records depth {depth} below capacity {capacity} — the "
+                   "queue was not full")),
+    "shed": EventSpec(
+        "A serving-loop request was refused or evicted.",
+        (Field("request", INTEGER), Field("tenant", PRESENT),
+         Field("reason", PRESENT)),
+        incident="requests_shed"),
+    "model_swap": EventSpec(
+        "The serving model slot changed at a batch boundary "
+        "(swap/promote/rollback/canary/shadow).",
+        (Field("model", PRESENT), Field("version"), Field("previous"),
+         Field("reason", PRESENT))),
+    "canary_verdict": EventSpec(
+        "A canary/shadow rollout decided, with both slots' bad rates.",
+        (Field("model", PRESENT), Field("verdict", one_of(CANARY_VERDICTS)))),
+    "data_quarantine": EventSpec(
+        "A dataset integrity pass finished (reason tags, missing manifest).",
+        (Field("quarantined", COUNT), Field("total", COUNT)),
+        invariant=(lambda record: record["quarantined"] <= record["total"],
+                   "quarantines {quarantined} of only {total} records"),
+        incident="records_quarantined", adds="quarantined"),
+    "data_repair": EventSpec(
+        "Quarantined records were re-synthesized and hash-verified.",
+        (Field("repaired", COUNT),),
+        incident="records_repaired", adds="repaired"),
+    "worker_crash": EventSpec(
+        "A parallel fan-out worker died or timed out (task, detail).",
+        (Field("shard", NON_NEGATIVE),),
+        incident="worker_crashes"),
+    "trial_start": EventSpec(
+        "A sweep trial attempt began (attempt is 1-based).",
+        (_DIGEST, Field("attempt", POSITIVE))),
+    "trial_retry": EventSpec(
+        "A failed sweep trial attempt is retried after a backoff delay.",
+        (_DIGEST, Field("attempt", POSITIVE), Field("reason", PRESENT))),
+    "trial_end": EventSpec(
+        "A sweep trial reached a terminal state, with its attempt count.",
+        (_DIGEST, Field("status", one_of(TRIAL_STATUSES)))),
+    "ilt_start": EventSpec(
+        "An inverse-lithography run began (clips, gradient steps per clip).",
+        (Field("clips", POSITIVE), Field("steps", POSITIVE))),
+    "ilt_step": EventSpec(
+        "One ILT gradient step and its proxy loss.",
+        (Field("step", NON_NEGATIVE),)),
+    "ilt_end": EventSpec(
+        "An ILT run finished: simulator verifications and mean EPEs.",
+        (Field("verified", COUNT),)),
+    "run_end": EventSpec(
+        "Last event; carries status and total seconds.",
+        (Field("status", default="ok"),)),
+}
+
+#: event types a well-formed run log may contain
+EVENT_TYPES = tuple(EVENTS)
 
 #: process-wide monotonic run-ID source
 _RUN_COUNTER = itertools.count(1)
@@ -131,8 +210,11 @@ class RunLogger:
 
     Opens the file in append mode and flushes every record, so concurrent
     tails and post-crash reads both see a valid prefix of the stream.
-    Usable as a context manager; closing does *not* implicitly emit
-    ``run_end`` — a missing terminal event is the signature of a killed run.
+    Safe to share between threads: ``seq`` assignment, the write and the
+    flush happen under one lock.  Usable as a context manager; closing does
+    *not* implicitly emit ``run_end`` — a missing terminal event is the
+    signature of a killed run.  Each event type in :data:`EVENTS` has a
+    method of the same name that takes its fields.
     """
 
     def __init__(self, path: Union[str, Path],
@@ -140,6 +222,7 @@ class RunLogger:
         self.path = Path(path)
         self.run_id = run_id if run_id is not None else next_run_id()
         self._seq = 0
+        self._lock = threading.Lock()
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             handle: Optional[IO[str]] = open(self.path, "a", encoding="utf-8")
@@ -149,143 +232,36 @@ class RunLogger:
             ) from exc
         self._handle = handle
 
-    # -- core ---------------------------------------------------------------
-
     def emit(self, event: str, **fields: Any) -> Dict[str, Any]:
         """Append one event record and flush; returns the record."""
-        if self._handle is None:
-            raise TelemetryError(
-                f"RunLogger for {self.path} is closed (run {self.run_id})"
-            )
-        if event not in EVENT_TYPES:
-            raise TelemetryError(
-                f"unknown event type {event!r}; expected one of {EVENT_TYPES}"
-            )
-        record: Dict[str, Any] = {
-            "schema_version": SCHEMA_VERSION,
-            "run_id": self.run_id,
-            "seq": self._seq,
-            "time_unix": time.time(),
-            "event": event,
-        }
-        record.update(fields)
-        self._handle.write(json.dumps(record, sort_keys=False) + "\n")
-        self._handle.flush()
-        self._seq += 1
+        with self._lock:
+            if self._handle is None:
+                raise TelemetryError(
+                    f"RunLogger for {self.path} is closed (run {self.run_id})"
+                )
+            if event not in EVENT_TYPES:
+                raise TelemetryError(
+                    f"unknown event type {event!r}; "
+                    f"expected one of {EVENT_TYPES}"
+                )
+            record: Dict[str, Any] = {
+                "schema_version": SCHEMA_VERSION,
+                "run_id": self.run_id,
+                "seq": self._seq,
+                "time_unix": time.time(),
+                "event": event,
+            }
+            record.update(fields)
+            self._handle.write(json.dumps(record, sort_keys=False) + "\n")
+            self._handle.flush()
+            self._seq += 1
         return record
 
-    # -- event vocabulary ---------------------------------------------------
-
-    def run_start(self, **fields: Any) -> Dict[str, Any]:
-        return self.emit("run_start", **fields)
-
-    def epoch_end(self, epoch: int, *, seconds: Optional[float] = None,
-                  **losses: Any) -> Dict[str, Any]:
-        return self.emit("epoch_end", epoch=epoch, seconds=seconds, **losses)
-
-    def checkpoint(self, **fields: Any) -> Dict[str, Any]:
-        return self.emit("checkpoint", **fields)
-
-    def rollback(self, **fields: Any) -> Dict[str, Any]:
-        return self.emit("rollback", **fields)
-
-    def stage_end(self, stage: str, seconds: float,
-                  **fields: Any) -> Dict[str, Any]:
-        return self.emit("stage_end", stage=stage, seconds=seconds, **fields)
-
-    def eval_end(self, **fields: Any) -> Dict[str, Any]:
-        return self.emit("eval_end", **fields)
-
-    def admission(self, admitted: int, rejected: int,
-                  **fields: Any) -> Dict[str, Any]:
-        return self.emit(
-            "admission", admitted=admitted, rejected=rejected, **fields
-        )
-
-    def fallback(self, clip: int, cause: str, **fields: Any) -> Dict[str, Any]:
-        return self.emit("fallback", clip=clip, cause=cause, **fields)
-
-    def breaker(self, from_state: str, to_state: str,
-                **fields: Any) -> Dict[str, Any]:
-        return self.emit(
-            "breaker", from_state=from_state, to_state=to_state, **fields
-        )
-
-    def queue_full(self, depth: int, capacity: int,
-                   **fields: Any) -> Dict[str, Any]:
-        return self.emit(
-            "queue_full", depth=depth, capacity=capacity, **fields
-        )
-
-    def shed(self, request: int, tenant: str, reason: str,
-             **fields: Any) -> Dict[str, Any]:
-        return self.emit(
-            "shed", request=request, tenant=tenant, reason=reason, **fields
-        )
-
-    def model_swap(self, model: str, version: str, previous: str,
-                   reason: str, **fields: Any) -> Dict[str, Any]:
-        return self.emit(
-            "model_swap", model=model, version=version, previous=previous,
-            reason=reason, **fields
-        )
-
-    def canary_verdict(self, model: str, verdict: str,
-                       **fields: Any) -> Dict[str, Any]:
-        return self.emit(
-            "canary_verdict", model=model, verdict=verdict, **fields
-        )
-
-    def data_quarantine(self, quarantined: int, total: int,
-                        **fields: Any) -> Dict[str, Any]:
-        return self.emit(
-            "data_quarantine", quarantined=quarantined, total=total, **fields
-        )
-
-    def data_repair(self, repaired: int, **fields: Any) -> Dict[str, Any]:
-        return self.emit("data_repair", repaired=repaired, **fields)
-
-    def worker_crash(self, shard: int, **fields: Any) -> Dict[str, Any]:
-        return self.emit("worker_crash", shard=shard, **fields)
-
-    def trial_start(self, digest: str, attempt: int,
-                    **fields: Any) -> Dict[str, Any]:
-        return self.emit(
-            "trial_start", digest=digest, attempt=attempt, **fields
-        )
-
-    def trial_retry(self, digest: str, attempt: int, reason: str,
-                    **fields: Any) -> Dict[str, Any]:
-        return self.emit(
-            "trial_retry", digest=digest, attempt=attempt, reason=reason,
-            **fields
-        )
-
-    def trial_end(self, digest: str, status: str,
-                  **fields: Any) -> Dict[str, Any]:
-        return self.emit(
-            "trial_end", digest=digest, status=status, **fields
-        )
-
-    def ilt_start(self, clips: int, steps: int,
-                  **fields: Any) -> Dict[str, Any]:
-        return self.emit("ilt_start", clips=clips, steps=steps, **fields)
-
-    def ilt_step(self, step: int, **fields: Any) -> Dict[str, Any]:
-        return self.emit("ilt_step", step=step, **fields)
-
-    def ilt_end(self, verified: int, **fields: Any) -> Dict[str, Any]:
-        return self.emit("ilt_end", verified=verified, **fields)
-
-    def run_end(self, status: str = "ok", **fields: Any) -> Dict[str, Any]:
-        return self.emit("run_end", status=status, **fields)
-
-    # -- lifecycle ----------------------------------------------------------
-
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
     @property
     def closed(self) -> bool:
@@ -296,6 +272,38 @@ class RunLogger:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _event_method(event: str, spec: EventSpec) -> Callable[..., Dict]:
+    """The ``RunLogger`` method that emits ``event`` with its named fields
+    first, in argument order, then any extra keyword fields."""
+    signature = Signature(
+        [Parameter("self", Parameter.POSITIONAL_OR_KEYWORD)]
+        + [Parameter(field.name,
+                     Parameter.KEYWORD_ONLY if field.keyword_only
+                     else Parameter.POSITIONAL_OR_KEYWORD,
+                     default=field.default)
+           for field in spec.fields]
+        + [Parameter(spec.rest, Parameter.VAR_KEYWORD)]
+    )
+
+    def method(self: RunLogger, *args: Any, **kwargs: Any) -> Dict[str, Any]:
+        bound = signature.bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        fields = bound.arguments
+        del fields["self"]
+        extra = fields.pop(spec.rest)
+        return self.emit(event, **fields, **extra)
+
+    method.__name__ = event
+    method.__qualname__ = f"RunLogger.{event}"
+    method.__doc__ = spec.doc
+    method.__signature__ = signature  # type: ignore[attr-defined]
+    return method
+
+
+for _event, _spec in EVENTS.items():
+    setattr(RunLogger, _event, _event_method(_event, _spec))
 
 
 def read_run_log(path: Union[str, Path]) -> List[Dict[str, Any]]:
@@ -342,29 +350,36 @@ def split_runs(events: List[Dict[str, Any]]) -> List[List[Dict[str, Any]]]:
     return runs
 
 
+def _check_fields(index: int, record: Dict[str, Any]) -> None:
+    """Apply the :data:`EVENTS` field checks and invariant to one record."""
+    event = record["event"]
+    spec = EVENTS[event]
+    for field in spec.fields:
+        value = record.get(field.name)
+        if field.check is not None and not field.check.accepts(value):
+            raise TelemetryError(f"{event} {index} " + field.check.problem
+                                 .format(label=field.label or field.name,
+                                         value=value))
+    if spec.invariant is not None:
+        holds, problem = spec.invariant
+        if not holds(record):
+            raise TelemetryError(
+                f"{event} {index} " + problem.format_map(record))
+
+
 def validate_run_log(events: List[Dict[str, Any]],
                      require_run_end: bool = True) -> None:
     """Check that an event list is a well-formed single-run stream.
 
     Verifies: non-empty, consistent schema version and run ID, strictly
-    increasing ``seq``, ``run_start`` first, strictly increasing epochs
-    (except across a ``rollback`` event, which legitimately rewinds its
-    phase's epoch counter), well-formed serve-phase events (``admission``
-    counts are non-negative integers, ``fallback`` names a clip and cause,
-    ``breaker`` transitions follow the closed/open/half-open state machine
-    from an initially closed breaker, ``queue_full`` records a depth at or
-    above capacity, ``shed`` names a request/tenant/reason, ``model_swap``
-    names a model and reason, ``canary_verdict`` carries a known verdict),
-    well-formed
-    data-integrity events
-    (``data_quarantine`` counts are non-negative integers with
-    ``quarantined <= total``, ``data_repair`` carries a non-negative
-    ``repaired`` count), well-formed inverse-lithography events
-    (``ilt_start`` carries positive clip and step counts, ``ilt_step`` a
-    non-negative step index, ``ilt_end`` a non-negative verification
-    count), and (unless ``require_run_end=False``,
-    for crash-truncated logs) a terminal ``run_end``.  Raises
-    :class:`TelemetryError` on the first violation.
+    increasing ``seq``, ``run_start`` first, every record's fields against
+    its :data:`EVENTS` row, strictly increasing epochs per phase (except
+    across a ``rollback`` event, which legitimately rewinds its phase's
+    epoch counter), ``breaker`` transitions that follow the
+    closed/open/half-open state machine from an initially closed breaker,
+    and (unless ``require_run_end=False``, for crash-truncated logs) a
+    terminal ``run_end``.  Raises :class:`TelemetryError` on the first
+    violation.
     """
     if not events:
         raise TelemetryError("run log contains no events")
@@ -400,11 +415,10 @@ def validate_run_log(events: List[Dict[str, Any]],
                 f"event {index} seq {record['seq']} not after {last_seq}"
             )
         last_seq = record["seq"]
+        _check_fields(index, record)
         if record["event"] == "epoch_end":
             phase = str(record.get("phase", ""))
-            epoch = record.get("epoch")
-            if not isinstance(epoch, int):
-                raise TelemetryError(f"epoch_end {index} has bad epoch {epoch!r}")
+            epoch = record["epoch"]
             if epoch <= last_epoch.get(phase, 0):
                 raise TelemetryError(
                     f"epoch_end {index} epoch {epoch} does not increase "
@@ -417,124 +431,6 @@ def validate_run_log(events: List[Dict[str, Any]],
             phase = str(record.get("phase", ""))
             restored = record.get("epoch", 0)
             last_epoch[phase] = restored if isinstance(restored, int) else 0
-        if record["event"] == "admission":
-            for key in ("admitted", "rejected"):
-                value = record.get(key)
-                if not isinstance(value, int) or value < 0:
-                    raise TelemetryError(
-                        f"admission {index} has bad {key} count {value!r}"
-                    )
-        if record["event"] == "data_quarantine":
-            quarantined = record.get("quarantined")
-            total = record.get("total")
-            for key, value in (("quarantined", quarantined), ("total", total)):
-                if not isinstance(value, int) or value < 0:
-                    raise TelemetryError(
-                        f"data_quarantine {index} has bad {key} count "
-                        f"{value!r}"
-                    )
-            if quarantined > total:
-                raise TelemetryError(
-                    f"data_quarantine {index} quarantines {quarantined} of "
-                    f"only {total} records"
-                )
-        if record["event"] == "data_repair":
-            repaired = record.get("repaired")
-            if not isinstance(repaired, int) or repaired < 0:
-                raise TelemetryError(
-                    f"data_repair {index} has bad repaired count {repaired!r}"
-                )
-        if record["event"] == "worker_crash":
-            shard = record.get("shard")
-            if not isinstance(shard, int) or shard < 0:
-                raise TelemetryError(
-                    f"worker_crash {index} has bad shard {shard!r}"
-                )
-        if record["event"] in ("trial_start", "trial_retry", "trial_end"):
-            if not record.get("digest"):
-                raise TelemetryError(
-                    f"{record['event']} {index} is missing a trial digest"
-                )
-        if record["event"] in ("trial_start", "trial_retry"):
-            attempt = record.get("attempt")
-            if not isinstance(attempt, int) or attempt < 1:
-                raise TelemetryError(
-                    f"{record['event']} {index} has bad attempt {attempt!r}"
-                )
-        if record["event"] == "trial_retry" and not record.get("reason"):
-            raise TelemetryError(f"trial_retry {index} is missing a reason")
-        if record["event"] == "trial_end":
-            status = record.get("status")
-            if status not in TRIAL_STATUSES:
-                raise TelemetryError(
-                    f"trial_end {index} has bad status {status!r}; "
-                    f"expected one of {TRIAL_STATUSES}"
-                )
-        if record["event"] == "ilt_start":
-            for key in ("clips", "steps"):
-                value = record.get(key)
-                if not isinstance(value, int) or value < 1:
-                    raise TelemetryError(
-                        f"ilt_start {index} has bad {key} {value!r}"
-                    )
-        if record["event"] == "ilt_step":
-            step = record.get("step")
-            if not isinstance(step, int) or step < 0:
-                raise TelemetryError(
-                    f"ilt_step {index} has bad step {step!r}"
-                )
-        if record["event"] == "ilt_end":
-            verified = record.get("verified")
-            if not isinstance(verified, int) or verified < 0:
-                raise TelemetryError(
-                    f"ilt_end {index} has bad verified count {verified!r}"
-                )
-        if record["event"] == "fallback":
-            if not isinstance(record.get("clip"), int):
-                raise TelemetryError(
-                    f"fallback {index} has bad clip {record.get('clip')!r}"
-                )
-            if not record.get("cause"):
-                raise TelemetryError(f"fallback {index} is missing a cause")
-        if record["event"] == "queue_full":
-            depth = record.get("depth")
-            capacity = record.get("capacity")
-            for key, value in (("depth", depth), ("capacity", capacity)):
-                if not isinstance(value, int) or value < 0:
-                    raise TelemetryError(
-                        f"queue_full {index} has bad {key} {value!r}"
-                    )
-            if capacity is not None and depth is not None \
-                    and depth < capacity:
-                raise TelemetryError(
-                    f"queue_full {index} records depth {depth} below "
-                    f"capacity {capacity} — the queue was not full"
-                )
-        if record["event"] == "shed":
-            if not isinstance(record.get("request"), int):
-                raise TelemetryError(
-                    f"shed {index} has bad request {record.get('request')!r}"
-                )
-            if not record.get("tenant"):
-                raise TelemetryError(f"shed {index} is missing a tenant")
-            if not record.get("reason"):
-                raise TelemetryError(f"shed {index} is missing a reason")
-        if record["event"] == "model_swap":
-            if not record.get("model"):
-                raise TelemetryError(f"model_swap {index} is missing a model")
-            if not record.get("reason"):
-                raise TelemetryError(f"model_swap {index} is missing a reason")
-        if record["event"] == "canary_verdict":
-            if not record.get("model"):
-                raise TelemetryError(
-                    f"canary_verdict {index} is missing a model"
-                )
-            verdict = record.get("verdict")
-            if verdict not in CANARY_VERDICTS:
-                raise TelemetryError(
-                    f"canary_verdict {index} has bad verdict {verdict!r}; "
-                    f"expected one of {CANARY_VERDICTS}"
-                )
         if record["event"] == "breaker":
             source = record.get("from_state")
             target = record.get("to_state")

@@ -14,14 +14,23 @@ several hooks.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+import functools
+from typing import Any, Callable, Iterable, Optional
 
 from .events import RunLogger
 from .metrics import MetricsRegistry
 
 
 class TelemetryHook:
-    """Base hook: all callbacks are no-ops.  Subclass what you need."""
+    """Base hook: all callbacks are no-ops.  Subclass what you need.
+
+    Callbacks may arrive from any thread, concurrently.  Under
+    ``InferenceServer`` the submitting thread reports sheds and queue
+    depth, the batcher thread reports swaps, verdicts, rollbacks and served
+    clips, and the watchdog thread reports the sheds of a wedge.  A hook
+    that keeps state must guard it; :class:`RunLogger` serializes its own
+    writes, so a shared run log stays well-formed.
+    """
 
     def on_run_start(self, **fields: Any) -> None:
         """A run (training job, CLI invocation) began."""
@@ -126,140 +135,32 @@ NULL_HOOK = TelemetryHook()
 
 
 class CompositeHook(TelemetryHook):
-    """Fans every callback out to each child hook, in order."""
+    """Fans every callback out to each child hook, in order.
+
+    One forwarder per :class:`TelemetryHook` ``on_*`` callback is derived
+    below; each passes its positional and keyword arguments through
+    unchanged.
+    """
 
     def __init__(self, hooks: Iterable[TelemetryHook]) -> None:
         self.hooks = tuple(hooks)
 
-    def on_run_start(self, **fields: Any) -> None:
-        for hook in self.hooks:
-            hook.on_run_start(**fields)
 
-    def on_epoch_end(self, epoch: int, d_loss: float, g_loss: float,
-                     l1: float, seconds: float) -> None:
-        for hook in self.hooks:
-            hook.on_epoch_end(epoch, d_loss, g_loss, l1, seconds)
+def _fan_out(callback: Callable[..., None]) -> Callable[..., None]:
+    name = callback.__name__
 
-    def on_aux_epoch_end(self, epoch: int, loss: float, seconds: float,
-                         phase: str = "regression") -> None:
+    def forward(self: CompositeHook, *args: Any, **kwargs: Any) -> None:
         for hook in self.hooks:
-            hook.on_aux_epoch_end(epoch, loss, seconds, phase=phase)
+            getattr(hook, name)(*args, **kwargs)
 
-    def on_checkpoint(self, phase: str, epoch: int, path: str,
-                      loss: Optional[float] = None) -> None:
-        for hook in self.hooks:
-            hook.on_checkpoint(phase, epoch, path, loss=loss)
+    functools.update_wrapper(forward, callback)
+    forward.__qualname__ = f"CompositeHook.{name}"
+    return forward
 
-    def on_rollback(self, phase: str, epoch: int, failed_epoch: int,
-                    retries: int, learning_rate: float,
-                    reason: str) -> None:
-        for hook in self.hooks:
-            hook.on_rollback(phase, epoch, failed_epoch, retries,
-                             learning_rate, reason)
 
-    def on_phase_end(self, phase: str, seconds: float) -> None:
-        for hook in self.hooks:
-            hook.on_phase_end(phase, seconds)
-
-    def on_stage_end(self, stage: str, seconds: float) -> None:
-        for hook in self.hooks:
-            hook.on_stage_end(stage, seconds)
-
-    def on_eval_end(self, **fields: Any) -> None:
-        for hook in self.hooks:
-            hook.on_eval_end(**fields)
-
-    def on_admission(self, admitted: int, rejected: int,
-                     sanitized: int = 0) -> None:
-        for hook in self.hooks:
-            hook.on_admission(admitted, rejected, sanitized=sanitized)
-
-    def on_clip_served(self, clip: int, provenance: str, verdict: str,
-                       seconds: float) -> None:
-        for hook in self.hooks:
-            hook.on_clip_served(clip, provenance, verdict, seconds)
-
-    def on_fallback(self, clip: int, cause: str) -> None:
-        for hook in self.hooks:
-            hook.on_fallback(clip, cause)
-
-    def on_breaker(self, from_state: str, to_state: str,
-                   reason: str = "") -> None:
-        for hook in self.hooks:
-            hook.on_breaker(from_state, to_state, reason=reason)
-
-    def on_queue_full(self, depth: int, capacity: int) -> None:
-        for hook in self.hooks:
-            hook.on_queue_full(depth, capacity)
-
-    def on_shed(self, request: int, tenant: str, reason: str) -> None:
-        for hook in self.hooks:
-            hook.on_shed(request, tenant, reason)
-
-    def on_queue_depth(self, depth: int) -> None:
-        for hook in self.hooks:
-            hook.on_queue_depth(depth)
-
-    def on_model_swap(self, model: str, version: str, previous: str,
-                      reason: str) -> None:
-        for hook in self.hooks:
-            hook.on_model_swap(model, version, previous, reason)
-
-    def on_canary_verdict(self, model: str, verdict: str,
-                          candidate_rate: float, incumbent_rate: float,
-                          samples: int) -> None:
-        for hook in self.hooks:
-            hook.on_canary_verdict(
-                model, verdict, candidate_rate, incumbent_rate, samples)
-
-    def on_serve_rollback(self, model: str, from_version: str,
-                          to_version: str, candidate_rate: float,
-                          incumbent_rate: float,
-                          reason: str = "canary_regression") -> None:
-        for hook in self.hooks:
-            hook.on_serve_rollback(
-                model, from_version, to_version, candidate_rate,
-                incumbent_rate, reason=reason)
-
-    def on_data_quarantine(self, quarantined: int, total: int,
-                           reasons: Optional[dict] = None,
-                           manifest_missing: bool = False) -> None:
-        for hook in self.hooks:
-            hook.on_data_quarantine(
-                quarantined, total, reasons=reasons,
-                manifest_missing=manifest_missing,
-            )
-
-    def on_data_repair(self, repaired: int,
-                       indices: tuple = ()) -> None:
-        for hook in self.hooks:
-            hook.on_data_repair(repaired, indices=indices)
-
-    def on_worker_crash(self, shard: int, task: str = "",
-                        detail: str = "") -> None:
-        for hook in self.hooks:
-            hook.on_worker_crash(shard, task=task, detail=detail)
-
-    def on_trial_start(self, digest: str, trial: str,
-                       attempt: int) -> None:
-        for hook in self.hooks:
-            hook.on_trial_start(digest, trial, attempt)
-
-    def on_trial_retry(self, digest: str, trial: str, attempt: int,
-                       reason: str, delay_s: float) -> None:
-        for hook in self.hooks:
-            hook.on_trial_retry(digest, trial, attempt, reason, delay_s)
-
-    def on_trial_end(self, digest: str, trial: str, status: str,
-                     attempts: int, reason: str = "",
-                     seconds: float = 0.0) -> None:
-        for hook in self.hooks:
-            hook.on_trial_end(digest, trial, status, attempts,
-                              reason=reason, seconds=seconds)
-
-    def on_run_end(self, status: str = "ok", **fields: Any) -> None:
-        for hook in self.hooks:
-            hook.on_run_end(status=status, **fields)
+for _name, _callback in vars(TelemetryHook).items():
+    if _name.startswith("on_"):
+        setattr(CompositeHook, _name, _fan_out(_callback))
 
 
 class RunLoggerHook(TelemetryHook):
@@ -274,32 +175,26 @@ class RunLoggerHook(TelemetryHook):
         if self.logger is not None:
             self.logger.run_start(**fields)
 
-    def on_epoch_end(self, epoch: int, d_loss: float, g_loss: float,
-                     l1: float, seconds: float) -> None:
+    def _epoch_end(self, epoch: int, seconds: float, phase: str,
+                   **losses: float) -> None:
         if self.logger is not None:
-            self.logger.epoch_end(
-                epoch, seconds=seconds, phase="cgan",
-                d_loss=d_loss, g_loss=g_loss, l1=l1,
-            )
-        if self.registry is not None:
-            labels = {"phase": "cgan"}
-            self.registry.histogram(
-                "train_epoch_seconds", labels=labels).observe(seconds)
-            self.registry.counter(
-                "train_epochs_total", labels=labels).inc()
-
-    def on_aux_epoch_end(self, epoch: int, loss: float, seconds: float,
-                         phase: str = "regression") -> None:
-        if self.logger is not None:
-            self.logger.epoch_end(
-                epoch, seconds=seconds, phase=phase, loss=loss,
-            )
+            self.logger.epoch_end(epoch, seconds=seconds, phase=phase,
+                                  **losses)
         if self.registry is not None:
             labels = {"phase": phase}
             self.registry.histogram(
                 "train_epoch_seconds", labels=labels).observe(seconds)
             self.registry.counter(
                 "train_epochs_total", labels=labels).inc()
+
+    def on_epoch_end(self, epoch: int, d_loss: float, g_loss: float,
+                     l1: float, seconds: float) -> None:
+        self._epoch_end(epoch, seconds, "cgan",
+                        d_loss=d_loss, g_loss=g_loss, l1=l1)
+
+    def on_aux_epoch_end(self, epoch: int, loss: float, seconds: float,
+                         phase: str = "regression") -> None:
+        self._epoch_end(epoch, seconds, phase, loss=loss)
 
     def on_checkpoint(self, phase: str, epoch: int, path: str,
                       loss: Optional[float] = None) -> None:

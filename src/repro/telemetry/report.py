@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import TelemetryError
-from .events import EVENT_TYPES, read_run_log, split_runs
+from .events import EVENT_TYPES, EVENTS, read_run_log, split_runs
 from .export import validate_chrome_trace
 from .profile import ProfileReport
 
@@ -49,6 +49,13 @@ _HEADLINE_COUNTERS = (
     "ilt_steps_total",
     "ilt_verifications_total",
 )
+
+
+def _sorted_section(section: Dict[str, Any]) -> Dict[str, Any]:
+    """A summary section with its keys, and its nested dicts' keys, sorted."""
+    return {key: (dict(sorted(value.items()))
+                  if isinstance(value, dict) else value)
+            for key, value in sorted(section.items())}
 
 
 @dataclass(frozen=True)
@@ -139,21 +146,9 @@ class RunReport:
                 "backward_s": self.profile_backward_s,
             },
             "sources": dict(self.sources),
-            "serving": {
-                key: (dict(sorted(value.items()))
-                      if isinstance(value, dict) else value)
-                for key, value in sorted(self.serving.items())
-            },
-            "sweep": {
-                key: (dict(sorted(value.items()))
-                      if isinstance(value, dict) else value)
-                for key, value in sorted(self.sweep.items())
-            },
-            "ilt": {
-                key: (dict(sorted(value.items()))
-                      if isinstance(value, dict) else value)
-                for key, value in sorted(self.ilt.items())
-            },
+            "serving": _sorted_section(self.serving),
+            "sweep": _sorted_section(self.sweep),
+            "ilt": _sorted_section(self.ilt),
         }
 
     def format_text(self) -> str:
@@ -288,11 +283,8 @@ def _summarize_runs(runs: List[List[dict]],
                                Dict, int]:
     summaries: List[RunSummary] = []
     stages: Dict[str, Dict[str, float]] = {}
-    incidents = {
-        "fallbacks": 0, "breaker_transitions": 0, "rollbacks": 0,
-        "worker_crashes": 0, "records_quarantined": 0,
-        "records_repaired": 0, "rejected_inputs": 0, "requests_shed": 0,
-    }
+    incidents = {spec.incident: 0 for spec in EVENTS.values()
+                 if spec.incident}
     serving: Dict[str, Any] = {
         "swaps": 0,
         "rollbacks": 0,
@@ -328,6 +320,10 @@ def _summarize_runs(runs: List[List[dict]],
             if event not in EVENT_TYPES:
                 unknown += 1
                 continue
+            spec = EVENTS[event]
+            if spec.incident:
+                incidents[spec.incident] += (
+                    int(record.get(spec.adds) or 0) if spec.adds else 1)
             if event == "stage_end":
                 name = str(record.get("stage", "?"))
                 stats = stages.setdefault(
@@ -335,14 +331,8 @@ def _summarize_runs(runs: List[List[dict]],
                 stats["seconds"] += float(record.get("seconds") or 0.0)
                 # a stage_end aggregates count spans of that stage
                 stats["count"] += int(record.get("count") or 1)
-            elif event == "fallback":
-                incidents["fallbacks"] += 1
-            elif event == "breaker":
-                incidents["breaker_transitions"] += 1
-            elif event == "rollback":
-                incidents["rollbacks"] += 1
-                if record.get("phase") == "serving":
-                    serving["rollbacks"] += 1
+            elif event == "rollback" and record.get("phase") == "serving":
+                serving["rollbacks"] += 1
             elif event == "model_swap":
                 serving["swaps"] += 1
             elif event == "canary_verdict":
@@ -350,12 +340,9 @@ def _summarize_runs(runs: List[List[dict]],
                 verdicts = serving["canary_verdicts"]
                 verdicts[verdict] = verdicts.get(verdict, 0) + 1
             elif event == "shed":
-                incidents["requests_shed"] += 1
                 tenant = str(record.get("tenant", "?"))
                 sheds = serving["sheds_by_tenant"]
                 sheds[tenant] = sheds.get(tenant, 0) + 1
-            elif event == "worker_crash":
-                incidents["worker_crashes"] += 1
             elif event == "trial_start":
                 sweep_digests.add(str(record.get("digest", "?")))
             elif event == "trial_retry":
@@ -378,15 +365,6 @@ def _summarize_runs(runs: List[List[dict]],
                 epe = record.get("epe_ilt_nm")
                 if isinstance(epe, (int, float)):
                     ilt_epes.append(float(epe))
-            elif event == "data_quarantine":
-                incidents["records_quarantined"] += int(
-                    record.get("quarantined") or 0)
-            elif event == "data_repair":
-                incidents["records_repaired"] += int(
-                    record.get("repaired") or 0)
-            elif event == "admission":
-                incidents["rejected_inputs"] += int(
-                    record.get("rejected") or 0)
             elif event == "run_end":
                 status = str(record.get("status", "ok"))
                 seconds = float(record.get("seconds") or 0.0)

@@ -3,9 +3,9 @@
 A :class:`Tracer` hands out context-manager :class:`Span`\\ s.  Spans nest
 (the tracer keeps an active stack, so each finished record knows its depth
 and parent), carry arbitrary metadata, and accumulate into per-name totals —
-which is exactly the accounting the Table 4 runtime comparison needs, so the
-historical :class:`StageTimer` API is now a thin veneer over a ``Tracer`` and
-is re-exported unchanged from :mod:`repro.sim.runtime`.
+which is exactly the accounting the Table 4 runtime comparison needs;
+:class:`StageTimer` is the per-stage totals view of a ``Tracer`` that the
+simulation pipeline uses.
 
 Since the observability-plane PR, every span also carries **stable
 identifiers**: a ``trace_id`` naming the whole run's trace, a ``span_id``
@@ -311,9 +311,8 @@ def get_active_tracer() -> Optional[Tracer]:
 class StageTimer:
     """Accumulates wall-clock seconds per named pipeline stage.
 
-    Historically a standalone dict-of-totals; now backed by a :class:`Tracer`
-    so Table 4 accounting and span tracing share one measurement substrate.
-    The public API is unchanged from the original.
+    Backed by a :class:`Tracer`, so Table 4 accounting and span tracing
+    share one measurement substrate.
     """
 
     def __init__(self, tracer: Optional[Tracer] = None) -> None:
